@@ -18,8 +18,7 @@ import (
 // LookupBytes/LookupBytesBatch performs zero allocations per frame on
 // the decomposition backend.
 
-// rawBurstPool recycles the frame-slab decoders shared by the baseline
-// and flow-cached batch paths.
+// rawBurstPool recycles the frame-slab decoders of lookupFrames.
 var rawBurstPool = sync.Pool{New: func() any { return new(packet.Burst) }}
 
 // v4RawScratch is the pooled working set of Classifier.LookupBytesBatch:
@@ -98,96 +97,56 @@ func (e *baselineEngine) LookupBytes(frame []byte) (Result, error) {
 	return res, nil
 }
 
-// LookupBytesBatch implements Engine: pooled burst decode, then the
-// baseline's batched snapshot lookup, scattered back by frame index.
+// LookupBytesBatch implements Engine: pooled burst decode, then one
+// batched snapshot lookup into a pooled result slab, scattered back by
+// frame index.
 func (e *baselineEngine) LookupBytesBatch(frames [][]byte, out []Result) int {
+	return lookupFrames(frames, out, func(hs []Header, idx []int, out []Result) {
+		scatterBatch(e, hs, idx, out)
+	})
+}
+
+// resultSlab is scatterBatch's pooled result slab.
+type resultSlab struct{ res []Result }
+
+var resultPool = sync.Pool{New: func() any { return new(resultSlab) }}
+
+// scatterBatch classifies hs through eng's allocation-free batch path
+// into a pooled result slab and writes the verdict of hs[j] to
+// out[idx[j]].
+//
+//repro:noalloc
+func scatterBatch(eng Engine, hs []rule.Header, idx []int, out []Result) {
+	sc := resultPool.Get().(*resultSlab)
+	res := sc.res[:0]
+	for range hs {
+		res = append(res, Result{})
+	}
+	eng.LookupBatchInto(hs, res)
+	for j, r := range res {
+		out[idx[j]] = r
+	}
+	sc.res = res
+	resultPool.Put(sc)
+}
+
+// lookupFrames is the raw batch path of the engines that classify
+// decoded rule.Headers: a pooled burst decoder fills the headers, and
+// classify writes the verdict of each decoded header at its frame
+// index. Undecodable frames yield the zero Result; the return value is
+// the number of frames decoded.
+//
+//repro:noalloc
+func lookupFrames(frames [][]byte, out []Result, classify func(hs []rule.Header, idx []int, out []Result)) int {
 	b := rawBurstPool.Get().(*packet.Burst)
-	hdrs, idx := b.DecodeV4(frames)
+	hs, idx := b.DecodeV4(frames)
 	for i := range frames {
 		out[i] = Result{}
 	}
-	if len(hdrs) > 0 {
-		for j, res := range e.LookupBatch(hdrs) {
-			out[idx[j]] = res
-		}
+	if len(hs) > 0 {
+		classify(hs, idx, out)
 	}
-	n := len(hdrs)
-	rawBurstPool.Put(b)
-	return n
-}
-
-// LookupBytes implements Engine for flow-cached compositions with the
-// raw-key probe: the 5-tuple hash is computed once off the freshly
-// decoded header and threaded through both the cache probe and the
-// miss-path fill, so a miss never hashes the header twice. The
-// steady-state hit path performs no allocations.
-//
-//repro:noalloc
-func (c *cachedEngine) LookupBytes(frame []byte) (Result, error) {
-	var h rule.Header
-	if err := packet.DecodeEthernet(frame, &h); err != nil {
-		return Result{}, err
-	}
-	k := c.cache.Hash(h)
-	res, gen, ok := c.cache.GetHashed(k, h)
-	if ok {
-		return res, nil
-	}
-	res, _ = c.inner.Lookup(h)
-	c.cache.PutHashed(k, gen, h, res)
-	return res, nil
-}
-
-// LookupBytesBatch implements Engine: decoded headers probe the cache
-// with once-computed hashes; only the misses reach the inner engine's
-// batched path — compacted into pooled scratch, classified by one
-// batched inner lookup, and scattered back — and their fills reuse the
-// same hashes. Zero allocations per slab in steady state.
-//
-//repro:noalloc
-func (c *cachedEngine) LookupBytesBatch(frames [][]byte, out []Result) int {
-	b := rawBurstPool.Get().(*packet.Burst)
-	hdrs, idx := b.DecodeV4(frames)
-	for i := range frames {
-		out[i] = Result{}
-	}
-	sc := cacheBatchPool.Get().(*cacheBatchScratch)
-	missIdx := sc.missIdx[:0]
-	miss := sc.miss[:0]
-	missKey := sc.missKey[:0]
-	var fillGen uint64
-	for j, h := range hdrs {
-		k := c.cache.Hash(h)
-		res, gen, ok := c.cache.GetHashed(k, h)
-		if ok {
-			out[idx[j]] = res
-			continue
-		}
-		if len(miss) == 0 {
-			// The first generation observed lower-bounds every later one
-			// and precedes the engine read below, so stamping all fills
-			// with it is safe (see cachedEngine.LookupBatchInto).
-			fillGen = gen
-		}
-		missIdx = append(missIdx, idx[j])
-		miss = append(miss, h)
-		missKey = append(missKey, k)
-	}
-	if len(miss) > 0 {
-		res := sc.res[:0]
-		for range miss {
-			res = append(res, Result{})
-		}
-		sc.res = res
-		c.inner.LookupBatchInto(miss, res)
-		for j, r := range res {
-			out[missIdx[j]] = r
-			c.cache.PutHashed(missKey[j], fillGen, miss[j], r)
-		}
-	}
-	sc.missIdx, sc.miss, sc.missKey = missIdx, miss, missKey
-	cacheBatchPool.Put(sc)
-	n := len(hdrs)
+	n := len(hs)
 	rawBurstPool.Put(b)
 	return n
 }

@@ -264,6 +264,46 @@ func TestLookupBytesZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("cached LookupBytes hit path allocates %.1f objects/op, want 0", allocs)
 	}
+
+	// The linear baseline's LookupBatchInto is allocation-free, so its
+	// raw batch path must be too.
+	lin, err := repro.New(repro.WithBackend(repro.BackendLinear), repro.WithRules(rs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin.LookupBytesBatch(frames, out)
+	allocs = testing.AllocsPerRun(300, func() {
+		lin.LookupBytesBatch(frames, out)
+	})
+	if allocs != 0 {
+		t.Errorf("linear LookupBytesBatch allocates %.1f objects/slab steady-state, want 0", allocs)
+	}
+
+	// Hit-dominated raw batches through the flow layers: once the cache
+	// and the (all-establishing) state table are warm, every frame is a
+	// table hit. The state table is sized so the trace's flows occupy
+	// distinct slots (see TestEngineLookupBatchIntoZeroAllocs).
+	est := establishingSet(t, rs)
+	for _, c := range []struct {
+		name string
+		opts []repro.Option
+	}{
+		{"cache", []repro.Option{repro.WithRules(rs), repro.WithFlowCache(4096)}},
+		{"cache+state", []repro.Option{repro.WithRules(est), repro.WithFlowCache(4096), repro.WithFlowState(8192, 0)}},
+	} {
+		eng, err := repro.New(c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.LookupBytesBatch(frames, out)
+		eng.LookupBytesBatch(frames, out)
+		allocs := testing.AllocsPerRun(300, func() {
+			eng.LookupBytesBatch(frames, out)
+		})
+		if allocs != 0 {
+			t.Errorf("%s LookupBytesBatch hit path allocates %.1f objects/slab, want 0", c.name, allocs)
+		}
+	}
 }
 
 // frames6For synthesizes one IPv6 Ethernet frame per embedded header.

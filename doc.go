@@ -66,16 +66,20 @@
 // are chunked so the slab stays cache-resident.
 //
 //	out := make([]repro.Result, len(hs))
-//	eng.LookupBatchInto(hs, out)        // 0 allocs/op, any composition
+//	eng.LookupBatchInto(hs, out)        // 0 allocs/op on hits and probes
 //
 // LookupBatch is the convenience form (it allocates the result slice
-// and delegates); LookupBatchInto is the steady-state form and is
-// allocation-free on every composition: a flow-cached engine probes
-// the cache for all N, compacts the misses into a pooled scratch
-// burst, runs one fused lookup over just the misses and scatters the
-// verdicts back; a sharded engine reuses one pooled result column
-// across its replica merges; LookupBytesBatch feeds decoded frames
-// through the same kernel. Burst sizes of 64 or more get the full
+// and delegates); LookupBatchInto is the steady-state form. Its probe,
+// classification and scatter work is allocation-free on every
+// composition: a flow-cached or stateful engine probes its table for
+// all N, compacts the misses into a pooled scratch burst, runs one
+// fused lookup over just the misses and scatters the verdicts back; a
+// sharded engine reuses one pooled result column across its replica
+// merges; LookupBytesBatch feeds decoded frames through the same
+// kernel. The one exception is a flow-table fill: every flow-cache or
+// conntrack fill publishes a fresh entry and so allocates one object
+// (a miss on a cached engine costs one allocation; perfbench reports
+// the rate as *.allocs_per_fill). Burst sizes of 64 or more get the full
 // fusion benefit (see BenchmarkLookupBatch and the engine_burst_lookup
 // records cmd/lookupbench -burst emits into BENCH_lookup.json, where
 // CI tracks the burst-size curve).
@@ -97,8 +101,8 @@
 // both properties). Frames that are too short, non-IP or otherwise
 // undecodable yield a decode error from internal/packet (the batch
 // form writes the zero Result for them and returns the number decoded)
-// rather than a partial header. Flow-cached engines
-// hash the decoded 5-tuple once and probe the cache with that raw key;
+// rather than a partial header. Flow-cached and stateful engines probe
+// their tables with the decoded 5-tuple before any classification;
 // sharded engines fan a decoded burst across replicas against their
 // RCU snapshots. Classifier6.LookupBytes does the same for
 // IPv6-over-Ethernet frames. This is the substrate for a future pcap
@@ -122,10 +126,17 @@
 // than the full decomposition search; see cmd/lookupbench -zipf).
 // Entries are generation-stamped: every completed Insert or Delete
 // bumps the cache generation, so a lookup issued after an update
-// returns can never see a pre-update verdict. Cached engines expose
-// CacheStats (hits, misses, evictions, invalidations); the hit, miss
-// and eviction counters are also surfaced through the ctl STATS
-// response.
+// returns can never see a pre-update verdict. A cache hit allocates
+// nothing; a miss fills the cache with a fresh entry, one allocation.
+// Cached engines expose CacheStats (installs, hits, misses, evictions,
+// invalidations); the hit, miss and eviction counters are also
+// surfaced through the ctl STATS response.
+//
+// The flow cache and the conntrack table below are one structure, the
+// lock-free slot table of internal/flowcache, and one engine layer
+// (flow.go): they differ only in the key (the exact header, or the
+// direction-normalized flow), the TTL (none, or an idle lifetime),
+// which verdicts they fill, and whether rule updates clear them.
 //
 // # Stateful flow tracking
 //
@@ -156,9 +167,9 @@
 // engines expose StateStats (entries, installs, hits, misses,
 // expiries, evictions, invalidations), surfaced through ctl STATS, the
 // JSON admin API and /metrics; ctl table specs take a fourth
-// state-slot field (name=backend[:shards[:cache[:state]]]), and the
+// state-slot field (name=backend[:shards[:cache[:state]]]). The
 // stateful probe path is allocation-free under the same //repro:noalloc
-// regime as the lookup kernels.
+// regime as the lookup kernels; each install allocates one entry.
 //
 // # Sharding
 //

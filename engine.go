@@ -261,11 +261,11 @@ func New(opts ...Option) (Engine, error) {
 	if o.shards < 1 {
 		return nil, fmt.Errorf("repro: shard count %d, want >= 1", o.shards)
 	}
-	if err := validateFlowCache(o.flowCache); err != nil {
-		return nil, err
+	if o.flowCache < 0 {
+		return nil, fmt.Errorf("repro: flow cache size %d, want >= 0", o.flowCache)
 	}
-	if err := validateFlowState(o.state); err != nil {
-		return nil, err
+	if o.state < 0 {
+		return nil, fmt.Errorf("repro: flow state size %d, want >= 0", o.state)
 	}
 	rules := o.rules
 	if o.optimize && rules != nil {

@@ -3,6 +3,7 @@ package flowcache
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/rule"
@@ -130,5 +131,47 @@ func TestConcurrentGetPutInvalidate(t *testing.T) {
 	}
 	if st.Invalidations != 100 {
 		t.Errorf("invalidations = %d", st.Invalidations)
+	}
+}
+
+// TestNoTTLNeverExpires pins the TTL-0 contract of the shared table: a
+// cache entry stays served however far its clock jumps, because
+// neither the probe nor the fill reads the clock.
+func TestNoTTLNeverExpires(t *testing.T) {
+	c := New(256)
+	var now, reads int64
+	c.SetClock(func() int64 { reads++; return now })
+	if c.TTL() != 0 {
+		t.Fatalf("cache TTL = %v, want 0", c.TTL())
+	}
+	h := hdr(3)
+	_, gen, _ := c.Get(h)
+	c.Put(gen, h, core.Result{RuleID: 5, Found: true})
+	now = int64(10 * 365 * 24 * time.Hour)
+	if got, _, ok := c.Get(h); !ok || got.RuleID != 5 {
+		t.Fatalf("Get after a ten-year clock jump = %+v, %v; want the cached verdict", got, ok)
+	}
+	if st := c.Stats(); st.Expiries != 0 {
+		t.Errorf("expiries = %d, want 0", st.Expiries)
+	}
+	if reads != 0 {
+		t.Errorf("TTL-0 table read its clock %d times", reads)
+	}
+}
+
+// TestPutCountsInstalls checks that cache fills count as installs, as
+// conntrack installs do: every Put publishes one entry.
+func TestPutCountsInstalls(t *testing.T) {
+	c := New(256)
+	for i := 0; i < 10; i++ {
+		h := hdr(i)
+		_, gen, _ := c.Get(h)
+		c.Put(gen, h, core.Result{RuleID: i, Found: true})
+	}
+	// A refill of a present header is an install too.
+	h := hdr(0)
+	c.PutHashed(c.Hash(h), 0, h, core.Result{RuleID: 0, Found: true})
+	if st := c.Stats(); st.Installs != 11 {
+		t.Errorf("installs = %d, want 11", st.Installs)
 	}
 }

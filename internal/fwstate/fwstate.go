@@ -1,41 +1,27 @@
-// Package fwstate implements a sharded, TTL-expiring, lock-free flow
-// table over the classifier — the conntrack layer of a stateful
-// firewall. A forward-direction packet whose verdict says
-// "allow-established" installs an entry under the flow's canonical Key
-// (endpoints sorted, so both directions map to one entry); subsequent
-// packets of either direction are then accepted by state with one hash
-// probe, before the full classification pipeline runs.
+// Package fwstate is the conntrack layer of a stateful firewall over
+// the classifier: the flow table of internal/flowcache keyed by the
+// direction-normalized flow, with an idle TTL. A forward-direction
+// packet whose verdict says "allow-established" installs an entry under
+// the flow's canonical Key (endpoints sorted, so both directions map to
+// one entry); subsequent packets of either direction are then accepted
+// by state with one hash probe, before the full classification pipeline
+// runs.
 //
-// Concurrency model: like internal/flowcache, the table is an array of
-// atomic.Pointer slots over immutable entries — readers load one
-// pointer and compare Key and generation, no locks, no retries.
-// Entries are generation-stamped with the generation observed *before*
-// the classifying engine lookup ran, and Invalidate (called by the
-// engine wrapper after each rule update or atomic Replace completes)
-// bumps the generation, so established state can never outlive the
-// ruleset it was derived from and readers never mix generations. The
-// one mutable field of a published entry is its expiry deadline, an
-// atomic.Int64 the probe path pushes forward on every hit — a
-// wait-free TTL refresh that never re-publishes the entry.
-//
-// The slot array is split into shards only for statistics: per-shard
-// counters (installs, hits, misses, expiries, evictions) keep the hot
-// path off a single contended cache line.
+// This package holds only what is specific to conntrack: the Key and
+// its hash, the default TTL, and the Table instantiation. Slot
+// publication, generation stamping, TTL refresh, eviction and the
+// statistics are the shared flowcache.Table's.
 package fwstate
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flowcache"
 )
 
-// statShards is the number of counter shards; a power of two so the
-// shard pick is a mask of the key hash.
-const statShards = 16
-
 // MinEntries is the smallest table the constructor will build.
-const MinEntries = 64
+const MinEntries = flowcache.MinEntries
 
 // DefaultTTL is the idle lifetime of an established flow when the
 // caller passes a non-positive TTL — the common conntrack default for
@@ -43,94 +29,24 @@ const MinEntries = 64
 const DefaultTTL = 60 * time.Second
 
 // Stats is a point-in-time snapshot of flow-table effectiveness.
-type Stats struct {
-	// Entries is the slot capacity of the table.
-	Entries int
-	// Installs counts published flow entries (Put calls).
-	Installs uint64
-	// Hits and Misses count Get outcomes; an expired entry counts as
-	// both an expiry and a miss, so Hits+Misses covers every probe.
-	Hits, Misses uint64
-	// Expiries counts probes that found a matching entry past its
-	// deadline.
-	Expiries uint64
-	// Evictions counts installs that displaced a live (same-generation,
-	// unexpired, different-key) entry.
-	Evictions uint64
-	// Invalidations counts generation bumps (one per completed rule
-	// update or atomic replace on the wrapped engine).
-	Invalidations uint64
-}
+type Stats = flowcache.Stats
 
-// HitRate returns hits / (hits + misses), 0 when idle.
-func (s Stats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
-}
-
-// entry is one published flow. key, res and gen are immutable; expire
-// is the one mutable field — the idle deadline in clock nanoseconds,
-// pushed forward atomically on every served hit.
-type entry struct {
-	key    Key
-	res    core.Result
-	gen    uint64
-	expire atomic.Int64
-}
-
-// statShard keeps one shard of the counters, padded to a cache line so
-// shards do not false-share.
-type statShard struct {
-	installs  atomic.Uint64
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	expiries  atomic.Uint64
-	evictions atomic.Uint64
-	_         [3]uint64
-}
-
-// Table is the sharded lock-free flow table.
+// Table is the conntrack table: a flowcache.Table over flow Keys.
 type Table struct {
-	gen   atomic.Uint64
-	inval atomic.Uint64
-	slots []atomic.Pointer[entry]
-	mask  uint64
-	ttl   int64
-	now   func() int64
-	stats [statShards]statShard
+	flowcache.Table[Key]
 }
 
 // New returns a table with at least the requested number of entry
 // slots (rounded up to a power of two, minimum MinEntries). A
 // non-positive ttl falls back to DefaultTTL.
 func New(entries int, ttl time.Duration) *Table {
-	n := MinEntries
-	for n < entries {
-		n <<= 1
-	}
 	if ttl <= 0 {
 		ttl = DefaultTTL
 	}
-	return &Table{
-		slots: make([]atomic.Pointer[entry], n),
-		mask:  uint64(n - 1),
-		ttl:   int64(ttl),
-		now:   func() int64 { return time.Now().UnixNano() },
-	}
+	t := new(Table)
+	t.Init(entries, ttl)
+	return t
 }
-
-// Entries returns the slot capacity.
-func (t *Table) Entries() int { return len(t.slots) }
-
-// TTL returns the configured idle lifetime.
-func (t *Table) TTL() time.Duration { return time.Duration(t.ttl) }
-
-// SetClock replaces the table's nanosecond clock — deterministic TTL
-// tests only. Must be called before the table is shared between
-// goroutines.
-func (t *Table) SetClock(now func() int64) { t.now = now }
 
 // Hash exposes the slot hash of a Key, so callers that probe and then
 // install on the same flow compute it once and thread it through
@@ -139,82 +55,16 @@ func (t *Table) SetClock(now func() int64) { t.now = now }
 //repro:noalloc
 func (t *Table) Hash(k Key) uint64 { return hash(k) }
 
-// Get probes the table for an established flow. On a hit it returns
-// the stored verdict and pushes the flow's idle deadline forward by
-// one TTL. On a miss it returns the generation observed at probe time:
-// a caller that goes on to classify and install must thread that
-// generation through to Put, so the fill is stamped no newer than the
-// engine state it read (see the package comment's staleness argument).
+// Get probes the table for an established flow (see
+// flowcache.Table.GetHashed): a hit refreshes the flow's idle deadline.
 //
 //repro:noalloc
 func (t *Table) Get(k Key) (res core.Result, gen uint64, ok bool) {
 	return t.GetHashed(hash(k), k)
 }
 
-// GetHashed is Get with the caller-computed hash hk (which must equal
-// Hash(k)).
-//
-//repro:noalloc
-func (t *Table) GetHashed(hk uint64, k Key) (res core.Result, gen uint64, ok bool) {
-	gen = t.gen.Load()
-	st := &t.stats[hk&(statShards-1)]
-	if e := t.slots[hk&t.mask].Load(); e != nil && e.gen == gen && e.key == k {
-		now := t.now()
-		if e.expire.Load() >= now {
-			// Wait-free TTL refresh: the deadline is the entry's one
-			// mutable field, so a hit never re-publishes the entry.
-			e.expire.Store(now + t.ttl)
-			st.hits.Add(1)
-			return e.res, gen, true
-		}
-		st.expiries.Add(1)
-	}
-	st.misses.Add(1)
-	return core.Result{}, gen, false
-}
-
-// Put installs an established flow computed against the engine state
-// current at generation gen. A fill stamped with a stale generation is
-// published anyway but can never be served, so a racing rule update
-// silently turns the install into a no-op.
+// Put installs an established flow computed at generation gen (see
+// flowcache.Table.PutHashed).
 func (t *Table) Put(gen uint64, k Key, res core.Result) {
 	t.PutHashed(hash(k), gen, k, res)
-}
-
-// PutHashed is Put with the caller-computed hash hk (which must equal
-// Hash(k)).
-func (t *Table) PutHashed(hk uint64, gen uint64, k Key, res core.Result) {
-	slot := &t.slots[hk&t.mask]
-	st := &t.stats[hk&(statShards-1)]
-	if old := slot.Load(); old != nil && old.key != k &&
-		old.gen == t.gen.Load() && old.expire.Load() >= t.now() {
-		st.evictions.Add(1)
-	}
-	e := &entry{key: k, res: res, gen: gen}
-	e.expire.Store(t.now() + t.ttl)
-	slot.Store(e)
-	st.installs.Add(1)
-}
-
-// Invalidate marks every established flow stale with one generation
-// bump. The engine wrapper calls it after a rule update or atomic
-// Replace has fully completed, so the generation a reader observes is
-// always no newer than the engine state it will read.
-func (t *Table) Invalidate() {
-	t.gen.Add(1)
-	t.inval.Add(1)
-}
-
-// Stats aggregates the per-shard counters.
-func (t *Table) Stats() Stats {
-	s := Stats{Entries: len(t.slots), Invalidations: t.inval.Load()}
-	for i := range t.stats {
-		st := &t.stats[i]
-		s.Installs += st.installs.Load()
-		s.Hits += st.hits.Load()
-		s.Misses += st.misses.Load()
-		s.Expiries += st.expiries.Load()
-		s.Evictions += st.evictions.Load()
-	}
-	return s
 }

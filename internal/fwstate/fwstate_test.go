@@ -188,10 +188,11 @@ func TestTTLRefreshOnHit(t *testing.T) {
 func TestEvictionUnderPressure(t *testing.T) {
 	tb, _ := clockedTable(MinEntries, time.Second)
 	base := KeyOf(fwd(1))
-	slot := hash(base) & tb.mask
+	mask := uint64(tb.Entries() - 1)
+	slot := hash(base) & mask
 	var other Key
 	for i := 2; ; i++ {
-		if k := KeyOf(fwd(i)); hash(k)&tb.mask == slot {
+		if k := KeyOf(fwd(i)); hash(k)&mask == slot {
 			other = k
 			break
 		}
